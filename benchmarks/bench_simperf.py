@@ -103,10 +103,33 @@ def _drive(
     return time.perf_counter() - t0
 
 
+def _median_ratio(benchmark, num, den, pairs: int = 9):
+    """Median over ``pairs`` alternated runs of ``num() / den()``, where
+    both return seconds; also the best time of each side.
+
+    Every ratio gate goes through here.  A pair runs both sides back to
+    back, so the ratio cancels the machine's speed at that moment; which
+    side runs first alternates, cancelling ordering bias; the median
+    strips scheduling-noise outliers.  The first ``num`` run is the one
+    pytest-benchmark records.
+    """
+    num_runs = [benchmark.pedantic(num, rounds=1, iterations=1)]
+    den_runs = [den()]
+    for i in range(pairs - 1):
+        if i % 2:
+            num_runs.append(num())
+            den_runs.append(den())
+        else:
+            den_runs.append(den())
+            num_runs.append(num())
+    ratios = sorted(n / d for n, d in zip(num_runs, den_runs))
+    return ratios[len(ratios) // 2], min(num_runs), min(den_runs)
+
+
 def test_mmu_access_throughput(benchmark):
-    fused_s = benchmark.pedantic(_drive, args=(True,), rounds=1, iterations=1)
-    multi_s = _drive(False)
-    speedup = multi_s / fused_s
+    speedup, multi_s, fused_s = _median_ratio(
+        benchmark, lambda: _drive(False), lambda: _drive(True)
+    )
     fused_mps = TARGET_ACCESSES / fused_s / 1e6
     benchmark.extra_info.update(
         fused_s=fused_s, multipass_s=multi_s, speedup=speedup,
@@ -125,15 +148,11 @@ def test_steady_state_replay(benchmark):
     warmed past the walk->fast-path->memoize ramp so the measurement is
     pure steady state."""
     target = 8 * TARGET_ACCESSES
-    cached_s = benchmark.pedantic(
-        _drive, args=(True, True, 2, target), rounds=1, iterations=1
+    speedup, uncached_s, cached_s = _median_ratio(
+        benchmark,
+        lambda: _drive(True, False, 2, target),
+        lambda: _drive(True, True, 2, target),
     )
-    # Best-of-3 on both sides: at QUICK sizes the cached loop is
-    # milliseconds, so single rounds are noise-dominated.
-    cached_s = min(cached_s, _drive(True, True, 2, target),
-                   _drive(True, True, 2, target))
-    uncached_s = min(_drive(True, False, 2, target) for _ in range(3))
-    speedup = uncached_s / cached_s
     cached_mps = target / cached_s / 1e6
     benchmark.extra_info.update(
         cached_s=cached_s, uncached_s=uncached_s, speedup=speedup,
@@ -193,10 +212,7 @@ def test_access_plan_throughput(benchmark):
                 kernel_b.access(proc_b, vpns, True)
         return time.perf_counter() - t0
 
-    plan_s = benchmark.pedantic(drive_plan, rounds=1, iterations=1)
-    plan_s = min(plan_s, drive_plan(), drive_plan())
-    batch_s = min(drive_batches() for _ in range(3))
-    speedup = batch_s / plan_s
+    speedup, batch_s, plan_s = _median_ratio(benchmark, drive_batches, drive_plan)
     benchmark.extra_info.update(
         plan_s=plan_s, per_batch_s=batch_s, speedup=speedup,
     )
@@ -219,15 +235,16 @@ def test_reverse_lookup_index_reuse(benchmark):
             pt.reverse_lookup(q)
         return time.perf_counter() - t0
 
-    warm_s = benchmark.pedantic(warm, rounds=1, iterations=1)
+    def cold() -> float:
+        cold_s = 0.0
+        for q in queries:
+            pt._rev_index = None  # simulate the pre-index per-call rebuild
+            t0 = time.perf_counter()
+            pt.reverse_lookup(q)
+            cold_s += time.perf_counter() - t0
+        return cold_s
 
-    cold_s = 0.0
-    for q in queries:
-        pt._rev_index = None  # simulate the pre-index per-call rebuild
-        t0 = time.perf_counter()
-        pt.reverse_lookup(q)
-        cold_s += time.perf_counter() - t0
-    speedup = cold_s / warm_s
+    speedup, cold_s, warm_s = _median_ratio(benchmark, cold, warm)
     benchmark.extra_info.update(warm_s=warm_s, cold_s=cold_s, speedup=speedup)
     print(f"\nreverse_lookup x{len(queries)}: warm index {warm_s * 1e3:.2f}ms, "
           f"cold index {cold_s * 1e3:.2f}ms, speedup {speedup:.1f}x")
@@ -239,19 +256,17 @@ def test_tracing_overhead(benchmark):
     session (the long-run/CI configuration) vs tracing off.  Disabled
     tracing is a guard-only check; enabled tracing emits one WRITE event
     per batch, so the overhead must stay a small constant factor."""
-    off_s = benchmark.pedantic(_drive, args=(True,), rounds=3, iterations=1)
     session = otr.TraceSession(
         capacity=otr.ENV_SESSION_CAPACITY, detail=False
     )
-    on_runs = []
-    with session.active():
-        for _ in range(3):
-            on_runs.append(_drive(True))
-    # Best-of-3 on both sides: the QUICK loop is milliseconds, so single
-    # rounds are noise-dominated.
-    off_s = min(off_s, _drive(True), _drive(True))
-    on_s = min(on_runs)
-    overhead = on_s / off_s
+
+    def traced() -> float:
+        with session.active():
+            return _drive(True)
+
+    overhead, on_s, off_s = _median_ratio(
+        benchmark, traced, lambda: _drive(True)
+    )
     benchmark.extra_info.update(
         tracing_off_s=off_s, tracing_on_s=on_s, overhead=overhead,
         events_emitted=session.n_emitted,
@@ -314,22 +329,7 @@ def test_smp_overhead_at_one_vcpu(benchmark):
         return time.perf_counter() - t0
 
     drive_smp(), drive_seed()  # warm both paths
-    # Median of per-pair ratios, alternating which side runs first in
-    # each pair: equal work on both sides, so the ratio cancels the
-    # machine's speed and the alternation cancels ordering bias; the
-    # median strips scheduling-noise outliers.
-    smp_runs = [benchmark.pedantic(drive_smp, rounds=1, iterations=1)]
-    seed_runs = [drive_seed()]
-    for i in range(8):
-        if i % 2:
-            smp_runs.append(drive_smp())
-            seed_runs.append(drive_seed())
-        else:
-            seed_runs.append(drive_seed())
-            smp_runs.append(drive_smp())
-    ratios = sorted(s / e for s, e in zip(smp_runs, seed_runs))
-    overhead = ratios[len(ratios) // 2]
-    smp_s, seed_s = min(smp_runs), min(seed_runs)
+    overhead, smp_s, seed_s = _median_ratio(benchmark, drive_smp, drive_seed)
     benchmark.extra_info.update(
         smp_s=smp_s, seed_equiv_s=seed_s, overhead=overhead,
     )
@@ -353,13 +353,15 @@ def _runner_wallclock(extra_args: list[str], env_overrides: dict) -> float:
 def test_runner_all_quick_wallclock(benchmark):
     """End-to-end: optimized `runner all --quick --jobs 4` vs the
     pre-optimization configuration (multipass walk, no memo-cache)."""
-    opt_s = benchmark.pedantic(
-        _runner_wallclock, args=(["--jobs", "4"], {}), rounds=1, iterations=1
+    # Three pairs: each one is two whole sweeps in fresh interpreters.
+    speedup, base_s, opt_s = _median_ratio(
+        benchmark,
+        lambda: _runner_wallclock(
+            [], {"REPRO_FUSED_MMU": "0", "REPRO_EXPERIMENT_CACHE": "0"}
+        ),
+        lambda: _runner_wallclock(["--jobs", "4"], {}),
+        pairs=3,
     )
-    base_s = _runner_wallclock(
-        [], {"REPRO_FUSED_MMU": "0", "REPRO_EXPERIMENT_CACHE": "0"}
-    )
-    speedup = base_s / opt_s
     benchmark.extra_info.update(opt_s=opt_s, baseline_s=base_s, speedup=speedup)
     print(f"\nrunner all --quick: optimized --jobs 4 {opt_s:.2f}s, "
           f"baseline {base_s:.2f}s, speedup {speedup:.2f}x")

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.core.clock import SimClock, World
 from repro.core.costs import (
     EV_DISABLE_LOGGING,
@@ -153,6 +154,10 @@ class OohModule:
 
     A kernel module loads once per kernel: use :meth:`shared` (what the
     tracker techniques do) unless a test needs an isolated instance.
+
+    The module holds its kernel weakly: :attr:`_instances` maps each
+    kernel to its module through weak keys, and a strong back-reference
+    from the value would keep every kernel that ever attached OoH alive.
     """
 
     _instances: "weakref.WeakKeyDictionary[GuestKernel, OohModule]"
@@ -160,7 +165,7 @@ class OohModule:
     def __init__(
         self, kernel: GuestKernel, ring_capacity: int = DEFAULT_RING_CAPACITY
     ) -> None:
-        self.kernel = kernel
+        self._kernel_ref = weakref.ref(kernel)
         self.ring_capacity = ring_capacity
         self.clock: SimClock = kernel.clock
         self.costs: CostModel = kernel.costs
@@ -191,6 +196,13 @@ class OohModule:
             module = cls(kernel, ring_capacity)
             cls._instances[kernel] = module
         return module
+
+    @property
+    def kernel(self) -> GuestKernel:
+        kernel = self._kernel_ref()
+        if kernel is None:
+            raise ReferenceError("the OoH module's kernel no longer exists")
+        return kernel
 
     @property
     def vcpu(self):
@@ -302,7 +314,7 @@ class OohModule:
             EV_RB_COPY,
             int(gpas.size),
         )
-        gpas = np.unique(gpas).astype(np.int64)
+        gpas = unique_sorted(gpas).astype(np.int64)
         # Reverse mapping parses /proc/PID/pagemap: one userspace page-
         # table walk (M16, Fig. 3's "PT walk" slice) whenever addresses
         # must actually be resolved (cache hits skip the parse) ...
@@ -471,7 +483,7 @@ class OohModule:
             EV_RB_COPY,
             int(gvas.size),
         )
-        vpns = np.unique(gvas).astype(np.int64)
+        vpns = unique_sorted(gvas).astype(np.int64)
         # Re-arm: the module owns guest PTE dirty bits — no hypervisor.
         # Invalidate alongside (invlpg semantics): a TLB-cached dirty
         # translation would let the next write dodge the re-armed log.
@@ -558,7 +570,7 @@ class OohModule:
                 n_mapped=int(mapped.size),
             )
             otr.ACTIVE.metrics.inc("resync.conservative")
-        return np.union1d(vpns, mapped).astype(np.int64)
+        return unique_sorted(np.concatenate((vpns, mapped))).astype(np.int64)
 
     def _conservative_resync(self, att: OohAttachment) -> np.ndarray:
         """Mark the whole tracked VMA dirty after a detected loss.

@@ -33,7 +33,10 @@ class RingBuffer:
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ConfigurationError(f"ring buffer capacity must be > 0: {capacity}")
-        self._buf = np.zeros(capacity, dtype=np.uint64)
+        # Uninitialised on purpose: only [head, head + size) is ever read
+        # and push writes it first, so a zero fill would only cost time
+        # and commit every page of a ring that mostly stays empty.
+        self._buf = np.empty(capacity, dtype=np.uint64)
         self._capacity = capacity
         self._head = 0  # next read position
         self._size = 0

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.core.clock import World
 from repro.core.costs import EV_RECLAIM_COPY, EV_REFAULT_COPY
 from repro.errors import ConfigurationError, TrackingError
@@ -115,7 +116,7 @@ class BalloonDriver:
             pools.append(vpns[pt.present_mask(vpns)])
         if not pools:
             return np.empty(0, dtype=np.int64)
-        cand = np.unique(np.concatenate(pools))
+        cand = unique_sorted(np.concatenate(pools))
         active = self.kernel.active_access_vpns(self.proc)
         if active.size:
             cand = cand[~np.isin(cand, active)]

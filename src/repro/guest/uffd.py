@@ -24,6 +24,7 @@ import enum
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.core.clock import SimClock, World
 from repro.core.costs import (
     EV_CONTEXT_SWITCH,
@@ -117,7 +118,7 @@ class UserFaultFd:
         """Drain VPNs whose write faults the tracker has resolved."""
         if not self._dirty:
             return np.empty(0, dtype=np.int64)
-        out = np.unique(np.concatenate(self._dirty))
+        out = unique_sorted(np.concatenate(self._dirty))
         self._dirty.clear()
         return out
 

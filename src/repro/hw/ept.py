@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.errors import ConfigurationError, InvalidAddressError
 
 __all__ = ["EPT_PRESENT", "EPT_WRITABLE", "EPT_ACCESSED", "EPT_DIRTY", "Ept"]
@@ -88,7 +89,7 @@ class Ept:
         was_clean = (self.flags[written] & EPT_DIRTY) == 0
         newly_dirty = written[was_clean]
         # A page may appear several times in one batch; keep first instance.
-        newly_dirty = np.unique(newly_dirty)
+        newly_dirty = unique_sorted(newly_dirty)
         self.flags[written] |= EPT_DIRTY
         return newly_dirty.astype(np.int64)
 

@@ -57,6 +57,7 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.errors import InvalidAddressError, ProtectionFault
 from repro.hw.ept import EPT_ACCESSED, EPT_DIRTY, Ept
 from repro.hw.memory import PhysicalMemory
@@ -237,7 +238,7 @@ class Mmu:
             }
             if s.detail:
                 written = v if w is None else v[w]
-                fields["vpns"] = [int(x) for x in np.unique(written)]
+                fields["vpns"] = [int(x) for x in unique_sorted(written)]
             s.emit(EventKind.WRITE, **fields)
             s.metrics.inc("mmu.write_batches")
             s.metrics.inc("mmu.writes", res.n_writes)
@@ -392,7 +393,7 @@ class Mmu:
         if any_w:
             writable = (flags[w] & PTE_WRITABLE) != 0
             if not writable.all():
-                faulting = np.unique(v[w][~writable])
+                faulting = unique_sorted(v[w][~writable])
                 ufd_mask = (pt.flags[faulting] & PTE_UFD_WP) != 0
                 res.n_ufd_faults += int(ufd_mask.sum())
                 res.n_wp_faults += int((~ufd_mask).sum())
@@ -452,7 +453,7 @@ class Mmu:
         if not present.all():
             missing, inv_m = np.unique(v[~present], return_inverse=True)
             missing_w = np.zeros(missing.shape, dtype=bool)
-            np.logical_or.at(missing_w, inv_m, w[~present])
+            missing_w[inv_m[w[~present]]] = True
             handled_by_ufd = handlers.handle_ufd_miss_fault(missing, missing_w)
             res.n_ufd_faults += int(len(handled_by_ufd))
             still = ~np.isin(missing, handled_by_ufd)
@@ -468,7 +469,7 @@ class Mmu:
             wv = v[w]
             writable = pt.flag_mask(wv, PTE_WRITABLE)
             if not writable.all():
-                faulting = np.unique(wv[~writable])
+                faulting = unique_sorted(wv[~writable])
                 ufd_mask = pt.flag_mask(faulting, PTE_UFD_WP)
                 res.n_ufd_faults += int(ufd_mask.sum())
                 res.n_wp_faults += int((~ufd_mask).sum())
@@ -479,7 +480,7 @@ class Mmu:
         # -- 3. PTE accessed/dirty bits ----------------------------------
         pt.set_flags(v, PTE_ACCESSED)
         if w.any():
-            wv_unique = np.unique(v[w])
+            wv_unique = unique_sorted(v[w])
             was_clean = ~pt.flag_mask(wv_unique, PTE_DIRTY)
             res.newly_pte_dirty = wv_unique[was_clean]
             pt.set_flags(wv_unique, PTE_DIRTY)
@@ -489,7 +490,7 @@ class Mmu:
         # -- 4. EPT accessed/dirty bits ----------------------------------
         uniq_v, inv = np.unique(v, return_inverse=True)
         uniq_w = np.zeros(uniq_v.shape, dtype=bool)
-        np.logical_or.at(uniq_w, inv, w)
+        uniq_w[inv[w]] = True
         gpfns = pt.translate(uniq_v)
         res.newly_ept_dirty = self.ept.touch(gpfns, uniq_w)
         # Hypervisor-level PML logging: GPAs whose EPT dirty bit was set.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.core.clock import SimClock, World
 from repro.core.costs import (
     EV_BALLOON_PAGE,
@@ -160,7 +161,7 @@ class Hypervisor:
         for vc in vm.vcpus:
             residual = vc.pml.drain_hyp()
             self._deliver_gpas(vm, residual, source=vc.vcpu_id)
-        dirty = np.unique(vm.drain_hyp_dirty_log())
+        dirty = unique_sorted(vm.drain_hyp_dirty_log())
         if dirty.size:
             vm.ept.clear_dirty(dirty.astype(np.int64))
         return dirty

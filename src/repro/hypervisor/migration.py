@@ -28,6 +28,7 @@ from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.core.clock import World
 from repro.core.costs import EV_MIGRATION_SEND
 from repro.errors import ConfigurationError
@@ -256,7 +257,7 @@ class LiveMigration:
                 # Convergence failure: forced stop-and-copy of what's left.
                 dirty = self._harvest(report)
                 if pending is not None:
-                    dirty = np.union1d(pending, dirty)
+                    dirty = unique_sorted(np.concatenate((pending, dirty)))
                 dirty = self._final_pages(report, dirty, vmexit_mark)
                 report.downtime_us = self._send(int(dirty.size))
                 report.pages_per_round.append(int(dirty.size))

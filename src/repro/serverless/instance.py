@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.guest.kernel import GuestKernel
 from repro.guest.plan import AccessPlan, PlanSegment
 from repro.serverless.snapshot import Snapshot, SnapshotDiff, output_tokens
@@ -50,7 +51,7 @@ def plan_write_vpns(plan: AccessPlan) -> np.ndarray:
                 written.append(vpns[write])
     if not written:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(written)).astype(np.int64)
+    return unique_sorted(np.concatenate(written)).astype(np.int64)
 
 
 class FunctionInstance:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.core.clock import World
 from repro.core.costs import EV_SNAPSHOT_COPY, EV_SNAPSHOT_MAP
 from repro.core.tracking import available_modes, make_tracker
@@ -202,7 +203,7 @@ class UnifiedDirtyTracker:
         offsets = self.get_dirty_offsets(region)
         for bitmap in self._tl.values():
             tl = self._to_offsets(np.flatnonzero(bitmap).astype(np.int64), region)
-            offsets = np.union1d(offsets, tl)
+            offsets = unique_sorted(np.concatenate((offsets, tl)))
         return offsets.astype(np.int64)
 
     def _on_access(self, process: Process, result: MmuResult) -> None:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.core.clock import World
 from repro.core.tracking import DirtyPageTracker, Technique, make_tracker
 from repro.errors import GcError
@@ -184,7 +185,7 @@ class BoehmGc:
             (dirty >= heap.vma.start_vpn) & (dirty < heap.vma.end_vpn)
         ]
         result = minor_mark(heap, dirty)
-        scan_pages = np.unique(
+        scan_pages = unique_sorted(
             np.concatenate([result.scanned_pages, dirty])
         ) if dirty.size or result.scanned_pages.size else result.scanned_pages
         present = heap.process.space.pt.present_mask(scan_pages)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import add_counts, unique_sorted
 from repro.core.calibration import PAGE_SIZE
 from repro.errors import GcError
 from repro.guest.kernel import GuestKernel
@@ -154,7 +155,7 @@ class GcHeap:
             first = pages[::span] if span > 1 else pages
             self.obj_page[ids] = first
             touched = pages
-            np.add.at(self.page_live, pages, 1)
+            add_counts(self.page_live, pages, 1)
         else:
             # Small objects: bump-pack into per-class pages.
             vpn, used = self._bump.get(size_bytes, (-1, per_page))
@@ -171,14 +172,13 @@ class GcHeap:
                     np.arange(n_rest) // per_page
                 ]
             self.obj_page[ids] = pages_assign
-            np.add.at(self.page_live, pages_assign, 1)
+            touched = add_counts(self.page_live, pages_assign, 1)
             # Update bump state.
             if n_rest:
                 used_last = n_rest - (len(fresh_pages) - 1) * per_page
                 self._bump[size_bytes] = (int(fresh_pages[-1]), used_last)
             else:
                 self._bump[size_bytes] = (vpn, used + take_cur)
-            touched = np.unique(pages_assign)
 
         self.obj_size[ids] = size_bytes
         self.obj_span[ids] = span
@@ -210,7 +210,7 @@ class GcHeap:
         self._edge_dst.append(d.copy())
         self.n_edges += int(s.size)
         self._csr = None if self._csr_edges != self.n_edges else self._csr
-        self.kernel.access(self.process, np.unique(self.obj_page[s]), True)
+        self.kernel.access(self.process, unique_sorted(self.obj_page[s]), True)
 
     def replace_ref(self, src: int, old_dst: int, new_dst: int | None) -> None:
         """Overwrite a pointer cell: drop src -> old_dst, optionally add
@@ -246,13 +246,13 @@ class GcHeap:
             return
         if not self.alive[i].all():
             raise GcError("write to a dead object")
-        self.kernel.access(self.process, np.unique(self.obj_page[i]), True)
+        self.kernel.access(self.process, unique_sorted(self.obj_page[i]), True)
 
     def read_objs(self, ids: np.ndarray | list[int]) -> None:
         i = np.asarray(ids, dtype=np.int64).ravel()
         if i.size == 0:
             return
-        self.kernel.access(self.process, np.unique(self.obj_page[i]), False)
+        self.kernel.access(self.process, unique_sorted(self.obj_page[i]), False)
 
     # ------------------------------------------------------------------
     # roots
@@ -353,18 +353,16 @@ class GcHeap:
         pages = np.repeat(first + spans - spans.cumsum(), spans) + np.arange(total)
         self.alive[ids] = False
         self.obj_page[ids] = -1
-        np.add.at(self.page_live, pages, -1)
         self._free_ids.append(ids.copy())
         self._page_index = None
         # Pages with no live objects: unmap + reuse.
-        candidates = np.unique(pages)
+        candidates = add_counts(self.page_live, pages, -1)
         empty = candidates[self.page_live[candidates] == 0]
         if empty.size:
             # Drop bump pointers into freed pages.
+            freed = set(empty.tolist())
             self._bump = {
-                s: (v, u) for s, (v, u) in self._bump.items() if v not in set(
-                    int(p) for p in empty
-                )
+                s: (v, u) for s, (v, u) in self._bump.items() if v not in freed
             }
             present = self.process.space.pt.present_mask(empty)
             to_unmap = empty[present]

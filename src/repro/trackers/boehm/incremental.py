@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.trackers.boehm.heap import GEN_OLD, GEN_YOUNG, GcHeap
 
 __all__ = ["MarkResult", "full_mark", "minor_mark"]
@@ -35,7 +36,7 @@ class MarkResult:
 def _scan_pages(heap: GcHeap, ids: np.ndarray) -> np.ndarray:
     if ids.size == 0:
         return np.empty(0, dtype=np.int64)
-    return np.unique(heap.obj_page[ids])
+    return unique_sorted(heap.obj_page[ids])
 
 
 def full_mark(heap: GcHeap) -> MarkResult:
@@ -50,7 +51,7 @@ def full_mark(heap: GcHeap) -> MarkResult:
     while frontier.size:
         nbrs = heap.out_neighbors(frontier)
         nbrs = nbrs[heap.alive[nbrs] & ~marked[nbrs]]
-        nbrs = np.unique(nbrs)
+        nbrs = unique_sorted(nbrs)
         marked[nbrs] = True
         visited.append(nbrs)
         frontier = nbrs
@@ -75,7 +76,7 @@ def minor_mark(heap: GcHeap, dirty_vpns: np.ndarray) -> MarkResult:
     roots = roots[heap.alive[roots]] if roots.size else roots
     on_dirty = heap.objects_on_pages(np.asarray(dirty_vpns, dtype=np.int64))
     old_dirty = on_dirty[heap.gen[on_dirty] == GEN_OLD]
-    scan_set = np.unique(np.concatenate([roots, old_dirty]))
+    scan_set = unique_sorted(np.concatenate([roots, old_dirty]))
     # Young scan-set members are themselves live young objects.
     young_in_scan = scan_set[heap.gen[scan_set] == GEN_YOUNG]
     marked[young_in_scan] = True
@@ -88,7 +89,7 @@ def minor_mark(heap: GcHeap, dirty_vpns: np.ndarray) -> MarkResult:
             & (heap.gen[nbrs] == GEN_YOUNG)
             & ~marked[nbrs]
         )
-        nbrs = np.unique(nbrs[keep])
+        nbrs = unique_sorted(nbrs[keep])
         marked[nbrs] = True
         visited.append(nbrs)
         frontier = nbrs

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.core.clock import World
 from repro.core.tracking import DirtyPageTracker, Technique, make_tracker
 from repro.errors import GcError
@@ -156,7 +157,7 @@ class UafMitigator:
         if not self._did_full:
             kind = "full"
             scan_ids = self.heap.live_ids()
-            scan_pages = np.unique(self.heap.obj_page[scan_ids]) if (
+            scan_pages = unique_sorted(self.heap.obj_page[scan_ids]) if (
                 scan_ids.size
             ) else np.empty(0, dtype=np.int64)
             self._did_full = True

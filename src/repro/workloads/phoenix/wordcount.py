@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.core.calibration import PAGES_PER_MB
 from repro.workloads.base import MemoryContext
 from repro.workloads.phoenix.common import PhoenixApp
@@ -39,7 +40,7 @@ class WordCount(PhoenixApp):
         def scatter_counts(lo: int, hi: int) -> None:
             n_writes = max(1, int((hi - lo) * self.writes_per_input_page))
             idx = rng.integers(0, table.n_pages, size=n_writes)
-            ctx.write(table, np.unique(idx))
+            ctx.write(table, unique_sorted(idx))
             self._touch_cost(ctx, n_writes, 0.5)
 
         self._sequential_read(ctx, data, self.compute_factor, scatter_counts)

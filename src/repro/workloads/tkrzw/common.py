@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arrays import unique_sorted
 from repro.core.calibration import PAGES_PER_MB
 from repro.errors import WorkloadError
 from repro.guest.plan import PlanBuilder
@@ -77,12 +78,12 @@ class KvEngine(Workload):
                 # is the single kernel entry for the write+compute pair.
                 ctx.run_plan(
                     PlanBuilder()
-                    .write(arena.vpns[np.unique(offsets)])
+                    .write(arena.vpns[unique_sorted(offsets)])
                     .compute(n_ops * self.us_per_op)
                     .build_transient()
                 )
             else:
-                ctx.write(arena, np.unique(offsets))
+                ctx.write(arena, unique_sorted(offsets))
                 ctx.compute(n_ops * self.us_per_op)
             done += n_ops
             ctx.checkpoint_opportunity()

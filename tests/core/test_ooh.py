@@ -1,10 +1,15 @@
 """Tests for the OoH module/lib: SPML and EPML attachments."""
 
+import gc
+import weakref
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core.clock import World
+from repro.core.clock import SimClock, World
 from repro.core.costs import (
+    CostModel,
     EV_HC_INIT_PML,
     EV_HC_INIT_PML_SHADOW,
     EV_REVERSE_MAP,
@@ -13,6 +18,8 @@ from repro.core.costs import (
 )
 from repro.core.ooh import OohKind, OohLib, OohModule
 from repro.errors import TrackingError
+from repro.guest.kernel import GuestKernel
+from repro.hypervisor.hypervisor import Hypervisor
 
 
 @pytest.fixture()
@@ -166,3 +173,34 @@ def test_tracker_world_charged_for_init(stack, ooh):
     # ioctl M3 (5651 us) + hypercall M9 (5495 us) at least.
     assert stack.clock.world_us(World.TRACKER) - before >= 11_000
     ooh.detach(att)
+
+
+def _attach_epml_and_drop() -> "weakref.ref":
+    """Build a stack, attach EPML through the shared module, log a write,
+    and return only a weak reference to the kernel."""
+    clock = SimClock()
+    hv = Hypervisor(clock, CostModel(), host_mem_mb=128, ring_capacity=4096)
+    kernel = GuestKernel(hv.create_vm("vm0", mem_mb=32))
+    proc = spawn_tracked(SimpleNamespace(kernel=kernel))
+    att = OohLib(OohModule.shared(kernel)).attach(proc, OohKind.EPML)
+    kernel.access(proc, np.arange(4), True)
+    assert att.collect().size == 4
+    assert kernel in OohModule._instances
+    return weakref.ref(kernel)
+
+
+def test_module_registry_does_not_keep_kernels_alive():
+    gc.collect()
+    kernel_ref = _attach_epml_and_drop()
+    gc.collect()
+    assert kernel_ref() is None
+    assert len(OohModule._instances) == 0
+
+
+def test_module_outliving_its_kernel_fails_loudly():
+    module = OohModule(GuestKernel(Hypervisor(SimClock(), CostModel()).create_vm(
+        "vm0", mem_mb=32
+    )))
+    gc.collect()
+    with pytest.raises(ReferenceError):
+        module.kernel
