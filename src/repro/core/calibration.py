@@ -26,7 +26,7 @@ address-space pages) — is captured directly by the published curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,6 +118,12 @@ class SizeCurve:
     name: str
     pages: np.ndarray  # ascending page counts
     total_us: np.ndarray  # total cost at each page count, microseconds
+    #: ``total`` of each Python-int page count asked so far.  Cost charges
+    #: evaluate a curve at the tracked process's size, which barely
+    #: changes within a run, so nearly every scalar call is a repeat.
+    _memo: dict[int, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.pages) != len(self.total_us) or len(self.pages) < 2:
@@ -127,6 +133,14 @@ class SizeCurve:
 
     def total(self, n_pages: int | np.ndarray) -> float | np.ndarray:
         """Total cost in us for an operation spanning ``n_pages`` pages."""
+        if type(n_pages) is not int:
+            return self._total(n_pages)
+        got = self._memo.get(n_pages)
+        if got is None:
+            got = self._memo[n_pages] = self._total(n_pages)
+        return got
+
+    def _total(self, n_pages: int | np.ndarray) -> float | np.ndarray:
         n = np.asarray(n_pages, dtype=np.float64)
         lo_p, hi_p = self.pages[0], self.pages[-1]
         out = np.interp(n, self.pages, self.total_us)

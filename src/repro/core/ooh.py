@@ -422,10 +422,13 @@ class OohModule:
 
     def _make_guest_full_handler(self, vc):
         """Hardware path: ``vc``'s buffer full -> posted self-IPI on ``vc``."""
+        # ``vc``'s PML circuit holds the handler: closing over ``vc``
+        # itself would make the vCPU a reference cycle.
+        vcpu_id, interrupts = vc.vcpu_id, vc.interrupts
 
         def on_full(entries: np.ndarray) -> None:
-            self._pending_guest_entries.append((vc.vcpu_id, entries))
-            vc.interrupts.post(VECTOR_OOH_PML_FULL)
+            self._pending_guest_entries.append((vcpu_id, entries))
+            interrupts.post(VECTOR_OOH_PML_FULL)
 
         return on_full
 
@@ -528,6 +531,8 @@ class OohModule:
 
     def _detach(self, att: OohAttachment) -> None:
         self.kernel.scheduler.remove_hooks(*att._hooks)  # type: ignore[attr-defined]
+        # The hooks close over ``att``: dropping them breaks that cycle.
+        att._hooks = ()  # type: ignore[attr-defined]
         if att.kind is OohKind.SPML:
             self.clock.charge(
                 self.costs.params.hc_deact_pml_us, World.TRACKER, EV_HC_DEACT_PML
@@ -612,6 +617,7 @@ class OohModule:
         hooks = getattr(att, "_hooks", None)
         if hooks is not None:
             self.kernel.scheduler.remove_hooks(*hooks)
+            att._hooks = ()  # type: ignore[attr-defined]
         self._pending_guest_entries.clear()
         vm = self.kernel.vm
         if att.kind is OohKind.SPML:

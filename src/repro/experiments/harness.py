@@ -189,6 +189,12 @@ def _run_microbench_uncached(
     for _ in range(passes):
         _write_pass(stack, proc, vpns, us_pp)
     ideal_us = stack.clock.now_us - t0
+    # Destroy each VM once its run is measured.  The hypervisor's vmexit
+    # handlers on the VM's vCPUs and its VM table make hypervisor and VM
+    # a reference cycle; removing the VM from the table frees the stack
+    # as soon as it is dropped, not at the cycle collector's next full
+    # pass (a stack for a 1 GiB array holds about 20 MB of arrays).
+    stack.hv.destroy_vm(stack.vm.name)
 
     # Tracked run.  Tracked is suspended during the tracker's
     # initialization phase (paper §III), so its window starts afterwards;
@@ -216,6 +222,7 @@ def _run_microbench_uncached(
     collect_us += stack.clock.now_us - c0
     tracker.stop()
     delta = stack.clock.since(start)
+    stack.hv.destroy_vm(stack.vm.name)
     return MicrobenchResult(
         technique=technique,
         mem_mb=mem_mb,

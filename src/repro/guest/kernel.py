@@ -89,8 +89,12 @@ class GuestKernel:
         return self.idts[0]
 
     def _make_shootdown_handler(self, vcpu_id: int) -> Callable[[int], None]:
+        # The handler closes over the queue, not the kernel: the vCPU's
+        # interrupt controller holds it, and a kernel reference there
+        # would make every kernel-VM pair a reference cycle.
+        pending = self._pending_shootdowns[vcpu_id]
+
         def handle(_vector: int) -> None:
-            pending = self._pending_shootdowns[vcpu_id]
             while pending:
                 tlb, vpns = pending.pop(0)
                 if vpns is None:

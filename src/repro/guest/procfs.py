@@ -17,6 +17,8 @@ those belong to ``I(C_/proc, C_tked)``, not to the tracker.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.core.clock import SimClock, World
@@ -38,9 +40,16 @@ class ProcFs:
     def __init__(self, clock: SimClock, costs: CostModel, kernel=None) -> None:
         self.clock = clock
         self.costs = costs
-        #: Owning guest kernel; when set, TLB invalidations use its
-        #: SMP-correct shootdown path instead of touching only one TLB.
-        self.kernel = kernel
+        # Owning guest kernel, held weakly: the kernel owns this ProcFs,
+        # and a strong back-reference would keep both (and the VM behind
+        # them) alive until the cycle collector runs.
+        self._kernel_ref = weakref.ref(kernel) if kernel is not None else None
+
+    @property
+    def kernel(self):
+        """Owning guest kernel, or None; when set, TLB invalidations use
+        its SMP-correct shootdown path instead of touching only one TLB."""
+        return self._kernel_ref() if self._kernel_ref is not None else None
 
     def clear_refs(self, process: Process) -> int:
         """``echo 4 > /proc/PID/clear_refs``; returns pages affected."""

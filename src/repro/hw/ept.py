@@ -75,7 +75,8 @@ class Ept:
     def touch(self, gpfns: np.ndarray, write_mask: np.ndarray) -> np.ndarray:
         """Set A (all) / D (writes) bits; return GPFNs whose D bit went 0->1.
 
-        The returned array is exactly what the PML circuit must log.
+        The returned array is exactly what the PML circuit must log:
+        distinct GPFNs, ascending, whatever the batch order.
         """
         g = self._check(gpfns)
         w = np.asarray(write_mask, dtype=bool).ravel()
@@ -87,11 +88,20 @@ class Ept:
         if written.size == 0:
             return np.empty(0, dtype=np.int64)
         was_clean = (self.flags[written] & EPT_DIRTY) == 0
-        newly_dirty = written[was_clean]
-        # A page may appear several times in one batch; keep first instance.
-        newly_dirty = unique_sorted(newly_dirty)
+        nd = written[was_clean]
         self.flags[written] |= EPT_DIRTY
-        return newly_dirty.astype(np.int64)
+        # A page may appear several times in one batch: sort and dedup.
+        # The frame allocator is LIFO, so an ascending VPN batch usually
+        # maps to a strictly descending GPFN run; a strict run either way
+        # is already distinct and needs at most a reversal, not a sort.
+        if nd.size < 2:
+            return nd
+        if nd[0] < nd[1]:
+            if (nd[1:] > nd[:-1]).all():
+                return nd
+        elif (nd[1:] < nd[:-1]).all():
+            return nd[::-1].copy()
+        return unique_sorted(nd)
 
     def unmap(self, gpfns: np.ndarray | list[int]) -> np.ndarray:
         """Remove GPA->HPA mappings (balloon inflate); returns the HPFNs

@@ -17,7 +17,11 @@ Two walk implementations produce bit-identical outcomes:
 
 * the **fused** walk (default) gathers ``pt.flags`` once and derives the
   present/writable/dirty masks from that single read, with one dedup pass
-  feeding PTE bits, EPT bits, and content writes.  It is fronted by a
+  feeding PTE bits, EPT bits, and content writes.  :meth:`Mmu.access`
+  checks once per batch whether the VPNs are strictly ascending (array
+  sweeps and pre-faults always are); such a batch is already its own
+  sorted-unique set, so the walk skips every dedup and inverse pass and
+  works on the batch directly.  It is fronted by a
   **TLB fast path**: a sorted-unique batch whose pages are all TLB-cached,
   present, writable, and already PTE+EPT dirty cannot fault and cannot
   produce a 0->1 dirty transition (so nothing can be logged), exactly as
@@ -286,7 +290,10 @@ class Mmu:
                 else:
                     del cache[key]
         w_full = np.full(v.shape, wbool) if w is None else w
-        h = self._try_fast_path(pt, tlb, v, w_full)
+        # A strictly ascending batch is its own dedup: the fast path needs
+        # one, and the walk then skips its unique/inverse passes.
+        asc = v.size == 1 or bool((v[1:] > v[:-1]).all())
+        h = self._try_fast_path(pt, tlb, v, w_full, asc)
         if h is not None:
             self.n_fast_batches += 1
             self.n_fast_accesses += res.n_accesses
@@ -306,18 +313,21 @@ class Mmu:
                     _as_run(h),
                 )
             return res
-        return self._access_fused(pt, tlb, v, w_full, handlers, res, pml)
+        return self._access_fused(pt, tlb, v, w_full, asc, handlers, res, pml)
 
     # ------------------------------------------------------------------
     # TLB fast path
     # ------------------------------------------------------------------
-    def _try_fast_path(self, pt: PageTable, tlb: Tlb, v, w) -> np.ndarray | None:
+    def _try_fast_path(
+        self, pt: PageTable, tlb: Tlb, v, w, asc: bool
+    ) -> np.ndarray | None:
         """Resolve the batch without a walk when nothing can change.
 
-        Applicable to sorted-unique batches (no dedup pass needed) whose
-        pages are all TLB-cached with PTE present+accessed (+writable and
-        PTE/EPT dirty for written pages): no fault can fire and no dirty
-        bit can transition 0->1, so no PML entry can be logged.  The only
+        Applicable to sorted-unique batches (``asc``, checked once by
+        :meth:`access`; no dedup pass needed) whose pages are all
+        TLB-cached with PTE present+accessed (+writable and PTE/EPT dirty
+        for written pages): no fault can fire and no dirty bit can
+        transition 0->1, so no PML entry can be logged.  The only
         remaining architectural effects are the content-token writes and
         the TLB refresh, both performed here bit-identically to the walk.
 
@@ -325,7 +335,7 @@ class Mmu:
         what the walk cache needs to replay the batch — or ``None`` when
         the batch must take the full walk.
         """
-        if v.size > 1 and not (v[1:] > v[:-1]).all():
+        if not asc:
             return None  # not sorted-unique: take the full walk
         if v[0] < 0 or v[-1] >= pt.n_pages:
             return None  # out of range: let the walk raise
@@ -364,20 +374,29 @@ class Mmu:
         tlb: Tlb,
         v,
         w,
+        asc: bool,
         handlers: FaultHandlers,
         res: MmuResult,
         pml: PmlCircuit,
     ) -> MmuResult:
-        if int(v.min()) < 0 or int(v.max()) >= pt.n_pages:
+        # ``asc``: ``v`` is strictly ascending, hence already the sorted
+        # unique set every dedup below would compute (with identity
+        # inverse), so each one reduces to a plain mask or nothing.
+        lo, hi = (v[0], v[-1]) if asc else (v.min(), v.max())
+        if int(lo) < 0 or int(hi) >= pt.n_pages:
             raise InvalidAddressError("VPN out of address space")
         flags = pt.flags[v]
 
         # -- 1. missing pages -------------------------------------------
         present = (flags & PTE_PRESENT) != 0
         if not present.all():
-            missing, inv_m = np.unique(v[~present], return_inverse=True)
-            missing_w = np.zeros(missing.shape, dtype=bool)
-            missing_w[inv_m[w[~present]]] = True
+            absent = ~present
+            if asc:
+                missing, missing_w = v[absent], w[absent]
+            else:
+                missing, inv_m = np.unique(v[absent], return_inverse=True)
+                missing_w = np.zeros(missing.shape, dtype=bool)
+                missing_w[inv_m[w[absent]]] = True
             handled_by_ufd = handlers.handle_ufd_miss_fault(missing, missing_w)
             res.n_ufd_faults += int(len(handled_by_ufd))
             still = ~np.isin(missing, handled_by_ufd)
@@ -393,7 +412,9 @@ class Mmu:
         if any_w:
             writable = (flags[w] & PTE_WRITABLE) != 0
             if not writable.all():
-                faulting = unique_sorted(v[w][~writable])
+                faulting = v[w][~writable]
+                if not asc:
+                    faulting = unique_sorted(faulting)
                 ufd_mask = (pt.flags[faulting] & PTE_UFD_WP) != 0
                 res.n_ufd_faults += int(ufd_mask.sum())
                 res.n_wp_faults += int((~ufd_mask).sum())
@@ -403,12 +424,15 @@ class Mmu:
                     raise ProtectionFault("WP fault handler left pages read-only")
 
         # -- 3+4. one dedup pass feeds PTE bits, EPT bits, content writes
-        uniq_v, first_idx, inv = np.unique(
-            v, return_index=True, return_inverse=True
-        )
-        uniq_w = np.zeros(uniq_v.shape, dtype=bool)
-        uniq_w[inv[w]] = True
-        fu = flags[first_idx]
+        if asc:
+            uniq_v, uniq_w, fu = v, w, flags
+        else:
+            uniq_v, first_idx, inv = np.unique(
+                v, return_index=True, return_inverse=True
+            )
+            uniq_w = np.zeros(uniq_v.shape, dtype=bool)
+            uniq_w[inv[w]] = True
+            fu = flags[first_idx]
         newf = fu | PTE_ACCESSED
         if any_w:
             was_clean = uniq_w & ((fu & PTE_DIRTY) == 0)

@@ -15,6 +15,8 @@ Responsibilities reproduced from the paper's Xen patch (§IV, Table II):
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.arrays import unique_sorted
@@ -37,6 +39,16 @@ __all__ = ["Hypervisor"]
 
 #: Default SPML/EPML shared ring-buffer capacity (entries).
 DEFAULT_RING_CAPACITY = 1 << 20
+
+
+def _bind_weakly(obj, func):
+    """``func`` bound to ``obj`` through a weak reference."""
+    ref = weakref.ref(obj)
+
+    def call(*args):
+        return func(ref(), *args)
+
+    return call
 
 
 class Hypervisor:
@@ -103,10 +115,14 @@ class Hypervisor:
     # PML-full vmexit path
     # ------------------------------------------------------------------
     def _make_pml_full_trampoline(self, vcpu: Vcpu):
+        # The vCPU's own PML circuit holds the trampoline, so it refers
+        # to the vCPU weakly rather than forming a cycle.
+        vcpu_ref = weakref.ref(vcpu)
+
         def trampoline(entries: np.ndarray) -> None:
             # The CPU raises the vmexit *on the vCPU whose buffer filled*;
             # the handler receives the drained buffer as payload.
-            vcpu.vmexit(ExitReason.PML_FULL, entries)
+            vcpu_ref().vmexit(ExitReason.PML_FULL, entries)
 
         return trampoline
 
@@ -174,19 +190,23 @@ class Hypervisor:
         return self.hypercall_table.dispatch(int(nr), (vcpu, *args))
 
     def _register_hypercalls(self) -> None:
-        t = self.hypercall_table
-        t.register(hc.HC_OOH_INIT_PML, self._hc_init_pml)
-        t.register(hc.HC_OOH_DEACT_PML, self._hc_deact_pml)
-        t.register(hc.HC_OOH_ENABLE_LOGGING, self._hc_enable_logging)
-        t.register(hc.HC_OOH_DISABLE_LOGGING, self._hc_disable_logging)
-        t.register(hc.HC_OOH_INIT_PML_SHADOW, self._hc_init_pml_shadow)
-        t.register(hc.HC_OOH_DEACT_PML_SHADOW, self._hc_deact_pml_shadow)
-        t.register(hc.HC_OOH_RESET_DIRTY, self._hc_reset_dirty)
-        t.register(hc.HC_OOH_SPP_INIT, self._hc_spp_init)
-        t.register(hc.HC_OOH_SPP_PROTECT, self._hc_spp_protect)
-        t.register(hc.HC_OOH_SPP_UNPROTECT, self._hc_spp_unprotect)
-        t.register(hc.HC_OOH_BALLOON_INFLATE, self._hc_balloon_inflate)
-        t.register(hc.HC_OOH_BALLOON_DEFLATE, self._hc_balloon_deflate)
+        # The table is this hypervisor's own, so its handlers hold the
+        # hypervisor weakly: bound methods would make it a cycle.
+        for nr, handler in (
+            (hc.HC_OOH_INIT_PML, Hypervisor._hc_init_pml),
+            (hc.HC_OOH_DEACT_PML, Hypervisor._hc_deact_pml),
+            (hc.HC_OOH_ENABLE_LOGGING, Hypervisor._hc_enable_logging),
+            (hc.HC_OOH_DISABLE_LOGGING, Hypervisor._hc_disable_logging),
+            (hc.HC_OOH_INIT_PML_SHADOW, Hypervisor._hc_init_pml_shadow),
+            (hc.HC_OOH_DEACT_PML_SHADOW, Hypervisor._hc_deact_pml_shadow),
+            (hc.HC_OOH_RESET_DIRTY, Hypervisor._hc_reset_dirty),
+            (hc.HC_OOH_SPP_INIT, Hypervisor._hc_spp_init),
+            (hc.HC_OOH_SPP_PROTECT, Hypervisor._hc_spp_protect),
+            (hc.HC_OOH_SPP_UNPROTECT, Hypervisor._hc_spp_unprotect),
+            (hc.HC_OOH_BALLOON_INFLATE, Hypervisor._hc_balloon_inflate),
+            (hc.HC_OOH_BALLOON_DEFLATE, Hypervisor._hc_balloon_deflate),
+        ):
+            self.hypercall_table.register(nr, _bind_weakly(self, handler))
 
     # -- SPML ---------------------------------------------------------
     def _hc_init_pml(self, vcpu: Vcpu, ring_capacity: int | None = None) -> RingBuffer:

@@ -93,3 +93,48 @@ def test_table_va_values():
     assert calibration.TABLE_VA_US["m7_vmread"] == pytest.approx(0.936)
     assert calibration.TABLE_VA_US["m8_vmwrite"] == pytest.approx(0.801)
     assert calibration.PML_BUFFER_ENTRIES == 512
+
+
+def _curve_points(c: SizeCurve) -> list[int]:
+    """Page counts below, at, between and above the measured points."""
+    lo, hi = int(c.pages[0]), int(c.pages[-1])
+    pts = [0, 1, lo // 2, lo - 1, hi + 1, 2 * hi, 10 * hi + 7]
+    for a, b in zip(c.pages[:-1], c.pages[1:]):
+        pts += [int(a), (int(a) + int(b)) // 2, int(b) - 1]
+    return pts + [hi]
+
+
+@pytest.mark.parametrize("name", sorted(calibration.TABLE_VB_MS))
+def test_total_memo_is_bit_equal_to_uncached(name):
+    """An int page count returns exactly the uncached float, on the first
+    call (which fills the memo) and on every repeat (which reads it)."""
+    c = size_curves()[name]
+    for n in _curve_points(c):
+        want = c._total(n)
+        assert type(want) is float
+        first = c.total(n)
+        again = c.total(n)
+        assert type(first) is float and type(again) is float
+        assert first == want and again == want, n
+        assert c.unit(n) == (want / n if n > 0 else 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(calibration.TABLE_VB_MS))
+def test_total_memo_skips_numpy_inputs(name):
+    c = size_curves()[name]
+    n = int(c.pages[2]) + 3
+    scalar = c.total(np.int64(n))
+    assert scalar == c._total(n)
+    out = c.total(np.array([n, 2 * n]))
+    assert isinstance(out, np.ndarray)
+    assert out.tolist() == [c._total(n), c._total(2 * n)]
+    assert c._memo == {}
+    c.total(n)
+    assert list(c._memo) == [n]
+
+
+def test_memo_is_per_curve_and_out_of_repr():
+    a, b = size_curves()["m5_pf_kernel"], size_curves()["m5_pf_kernel"]
+    a.total(1000)
+    assert "_memo" not in repr(a)
+    assert a._memo and not b._memo

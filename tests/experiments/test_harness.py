@@ -1,8 +1,12 @@
 """Tests for the experiment harness (micro/CRIU/Boehm runners)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.tracking import Technique
+from repro.experiments import harness
 from repro.experiments.harness import (
     build_stack,
     run_boehm,
@@ -40,6 +44,36 @@ def test_microbench_result_properties():
         (r.slowdown_tracked - 1) * 100
     )
     assert r.events["clear_refs"] >= 2  # init + per-collect re-arm
+
+
+@pytest.mark.parametrize("tech", ["oracle", "proc", "ufd", "spml", "epml"])
+def test_microbench_stacks_are_freed_without_the_cycle_collector(
+    tech, monkeypatch
+):
+    """Both stacks of a run (ideal and tracked) are gone once it returns,
+    by reference counting alone: no reference cycle keeps a hypervisor,
+    VM or kernel (and the page-sized arrays behind them) alive until the
+    cycle collector's next full pass."""
+    refs = []
+
+    def recording_build_stack(**kw):
+        stack = build_stack(**kw)
+        refs.extend(weakref.ref(o) for o in (stack.hv, stack.vm, stack.kernel))
+        return stack
+
+    monkeypatch.setattr(harness, "build_stack", recording_build_stack)
+    gc.collect()
+    gc.disable()
+    try:
+        r = harness._run_microbench_uncached(
+            Technique(tech), 2, 2, None, 512, harness.DEFAULT_SWITCH_INTERVAL_US
+        )
+        alive = [type(ref()).__name__ for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert r.n_dirty == 2 * 512
+    assert len(refs) == 6
+    assert alive == []
 
 
 def test_microbench_passes_validation():

@@ -7,7 +7,9 @@ defaults, so the CI legs that export ``REPRO_VCPUS=4`` or
 ``REPRO_TRACE=1`` do not change what is compared.  The sha256 of each
 experiment's rendered text must equal the committed golden, with the
 perf knobs at their defaults and with each one turned off: a perf path
-may change host time, never simulated output.
+may change host time, never simulated output.  The same holds for
+``runner all --jobs 2``, which spreads the experiment families over two
+worker processes, each with its own memo cache.
 
 Regenerating after an intentional output change::
 
@@ -46,14 +48,25 @@ print(json.dumps({
 }, indent=1, sort_keys=True))
 """
 
+#: The same digests through ``runner all --jobs 2``'s parallel path.
+_SWEEP_JOBS = """
+import hashlib, json
+from repro.experiments.runner import EXPERIMENTS, _run_parallel
+texts = _run_parallel(sorted(EXPERIMENTS), quick=True, jobs=2)
+print(json.dumps({
+    name: hashlib.sha256(texts[name].encode()).hexdigest()
+    for name in sorted(EXPERIMENTS)
+}, indent=1, sort_keys=True))
+"""
 
-def _quick_digests(knobs: dict[str, str]) -> str:
+
+def _quick_digests(knobs: dict[str, str], script: str = _SWEEP) -> str:
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env.update(DEFAULTS)
     env.update(knobs)
     env["PYTHONPATH"] = str(SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", _SWEEP],
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
@@ -74,6 +87,14 @@ def test_quick_sweep_matches_golden(knobs):
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN.write_text(got)
         pytest.skip(f"regenerated {GOLDEN}")
+    _assert_golden(got)
+
+
+def test_quick_sweep_jobs2_matches_golden():
+    _assert_golden(_quick_digests({}, _SWEEP_JOBS))
+
+
+def _assert_golden(got: str) -> None:
     assert GOLDEN.is_file(), f"missing {GOLDEN}; regenerate with REPRO_REGOLDEN=1"
     want = json.loads(GOLDEN.read_text())
     got_map = json.loads(got)

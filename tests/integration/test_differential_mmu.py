@@ -6,7 +6,9 @@ bit-identical to the original multipass walk they replaced — same
 PTE/EPT state, same physical-memory content tokens, same clock totals.
 Randomized batch streams drive two production stacks that differ only in
 ``Mmu.fused``, plus the independent scalar reference model for the log
-semantics.
+semantics.  Strictly ascending batches take the fused walk's no-dedup
+branch, so half the streams are ascending-only, and a metamorphic test
+pits each ascending batch against a shuffled copy of itself.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from repro.core.costs import CostModel
 from repro.emu import RefMachine
 from repro.guest.kernel import GuestKernel
 from repro.hw import vmcs as vmcsf
-from repro.hw.pagetable import PTE_DIRTY
+from repro.hw.pagetable import PTE_DIRTY, PTE_WRITABLE
 from repro.hypervisor.hypervisor import Hypervisor
 
 N_PAGES = 96
@@ -98,6 +100,19 @@ BATCHES = st.lists(
 )
 
 
+#: One strictly ascending batch: distinct VPNs, sorted, random write mask.
+ASC_BATCH = st.sets(
+    st.integers(0, N_PAGES - 1), min_size=1, max_size=40
+).flatmap(
+    lambda s: st.lists(st.booleans(), min_size=len(s), max_size=len(s)).map(
+        lambda ws: list(zip(sorted(s), ws))
+    )
+)
+#: Random batches rarely ascend beyond a few entries, so half the streams
+#: are ascending-only: they reach the walk's no-dedup branch every batch.
+STREAMS = st.one_of(BATCHES, st.lists(ASC_BATCH, min_size=1, max_size=12))
+
+
 def drive(fused: bool, batches) -> Harness:
     h = Harness(fused=fused)
     for batch in batches:
@@ -107,8 +122,8 @@ def drive(fused: bool, batches) -> Harness:
     return h
 
 
-@settings(max_examples=60, deadline=None)
-@given(batches=BATCHES)
+@settings(max_examples=100, deadline=None)
+@given(batches=STREAMS)
 def test_fused_equals_multipass(batches):
     """Full-state equivalence over randomized batch streams."""
     fused = drive(True, batches)
@@ -116,8 +131,8 @@ def test_fused_equals_multipass(batches):
     assert fused.state() == multi.state()
 
 
-@settings(max_examples=40, deadline=None)
-@given(batches=BATCHES)
+@settings(max_examples=70, deadline=None)
+@given(batches=STREAMS)
 def test_fused_equals_reference_model(batches):
     """Fused walk vs the independent scalar reference (log semantics)."""
     fused = drive(True, batches)
@@ -130,6 +145,50 @@ def test_fused_equals_reference_model(batches):
     # Scalar replay has no batch dedup, so compare per-page outcomes.
     assert set(fused.guest_log()) == set(ref.drain_guest())
     assert set(fused.pte_dirty()) == {v for v, d in ref.pte_dirty.items() if d}
+
+
+#: Between batches: nothing, a dirty re-arm (PTE dirty bits cleared plus
+#: a TLB invalidate, as EPML/oracle collects do), or a write-protect
+#: re-arm (PTE writable bits cleared, so writes take soft-dirty faults).
+REARM = st.sampled_from(["none", "dirty", "wp"])
+
+
+def _rearm(h: Harness, kind: str, pages: np.ndarray) -> None:
+    pt = h.proc.space.pt
+    mapped = pages[pt.gpfn[pages] >= 0]
+    if kind == "dirty":
+        pt.clear_flags(mapped, PTE_DIRTY)
+        h.proc.space.tlb.invalidate(mapped)
+    elif kind == "wp":
+        pt.clear_flags(mapped, PTE_WRITABLE)
+        h.proc.space.tlb.invalidate(mapped)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(ASC_BATCH, REARM, st.sets(st.integers(0, N_PAGES - 1))),
+        min_size=1,
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ascending_batch_equals_its_permutation(steps, seed):
+    """Metamorphic: a sorted-unique batch and any shuffle of it are the
+    same set of accesses, so the ascending branch (no dedup) and the
+    general branch (sort + dedup) must leave bit-identical state."""
+    rng = np.random.default_rng(seed)
+    asc, shuf = Harness(fused=True), Harness(fused=True)
+    for batch, rearm, rearm_pages in steps:
+        vpns = np.array([v for v, _ in batch], dtype=np.int64)
+        writes = np.array([w for _, w in batch], dtype=bool)
+        order = rng.permutation(vpns.size)
+        asc.access(vpns, writes)
+        shuf.access(vpns[order], writes[order])
+        pages = np.array(sorted(rearm_pages), dtype=np.int64)
+        for h in (asc, shuf):
+            _rearm(h, rearm, pages)
+    assert asc.state() == shuf.state()
 
 
 def test_fast_path_fires_and_stays_identical():
