@@ -73,10 +73,14 @@ class ProcessFaultHandler:
         # Write faults install writable, soft-dirty mappings; read faults
         # install clean read-only zero-page mappings (Linux semantics —
         # the page only becomes dirty when actually written).
-        wv, rv = vpns[write_mask], vpns[~write_mask]
-        if wv.size:
-            pt.map(wv, gpfns[write_mask], writable=True, soft_dirty=True)
-        if rv.size:
+        if write_mask.all():
+            # All writes (array sweeps, pre-faults): no split, so a VPN
+            # run reaches the page table whole.
+            pt.map(vpns, gpfns, writable=True, soft_dirty=True)
+        else:
+            wv, rv = vpns[write_mask], vpns[~write_mask]
+            if wv.size:
+                pt.map(wv, gpfns[write_mask], writable=True, soft_dirty=True)
             pt.map(rv, gpfns[~write_mask], writable=False, soft_dirty=False)
             pt.set_flags(rv, PTE_ZERO)
         self.n_minor += n

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arrays import unique_sorted
+from repro.arrays import as_index, checked_index, gather, unique_sorted
 from repro.errors import ConfigurationError, InvalidAddressError
 
 __all__ = ["EPT_PRESENT", "EPT_WRITABLE", "EPT_ACCESSED", "EPT_DIRTY", "Ept"]
@@ -39,11 +39,17 @@ class Ept:
         #: dirty transition the PML circuit should have logged.
         self.generation = 0
 
-    def _check(self, gpfns: np.ndarray | list[int]) -> np.ndarray:
+    def _index(
+        self, gpfns: np.ndarray | list[int]
+    ) -> tuple[np.ndarray, np.ndarray | slice]:
+        """Bounds-checked GPFN array plus the index to apply it with: a
+        slice for a contiguous run, else the array itself
+        (:func:`repro.arrays.checked_index`)."""
         arr = np.asarray(gpfns, dtype=np.int64).ravel()
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n_guest_frames):
+        idx = checked_index(arr, self.n_guest_frames)
+        if idx is None:
             raise InvalidAddressError("GPFN out of guest physical range")
-        return arr
+        return arr, idx
 
     def map(
         self,
@@ -51,23 +57,23 @@ class Ept:
         hpfns: np.ndarray | list[int],
         writable: bool = True,
     ) -> None:
-        g = self._check(gpfns)
+        g, gi = self._index(gpfns)
         h = np.asarray(hpfns, dtype=np.int64).ravel()
         if g.size != h.size:
             raise ValueError("gpfns and hpfns length mismatch")
-        self.hpfn[g] = h
+        self.hpfn[gi] = h
         f = EPT_PRESENT
         if writable:
             f |= EPT_WRITABLE
-        self.flags[g] = f
+        self.flags[gi] = f
         self.generation += 1
 
     def translate(self, gpfns: np.ndarray | list[int]) -> np.ndarray:
-        g = self._check(gpfns)
-        h = self.hpfn[g]
+        _, gi = self._index(gpfns)
+        h = gather(self.hpfn, gi)
         if np.any(h < 0):
             raise InvalidAddressError("EPT violation: unmapped GPFN")
-        return h.copy()
+        return h
 
     # ------------------------------------------------------------------
     # access/dirty bookkeeping (called by the MMU on each access batch)
@@ -78,18 +84,22 @@ class Ept:
         The returned array is exactly what the PML circuit must log:
         distinct GPFNs, ascending, whatever the batch order.
         """
-        g = self._check(gpfns)
+        g, gi = self._index(gpfns)
         w = np.asarray(write_mask, dtype=bool).ravel()
         if g.size != w.size:
             raise ValueError("gpfns and write_mask length mismatch")
-        self.flags[g] |= EPT_ACCESSED
+        self.flags[gi] |= EPT_ACCESSED
         self.generation += 1
-        written = g[w]
+        if w.all():
+            written, wi = g, gi  # all-write batch: no mask split
+        else:
+            written = g[w]
+            wi = as_index(written, self.n_guest_frames)
         if written.size == 0:
             return np.empty(0, dtype=np.int64)
-        was_clean = (self.flags[written] & EPT_DIRTY) == 0
-        nd = written[was_clean]
-        self.flags[written] |= EPT_DIRTY
+        was_clean = (self.flags[wi] & EPT_DIRTY) == 0
+        nd = written[was_clean]  # a boolean mask copies: no alias of g
+        self.flags[wi] |= EPT_DIRTY
         # A page may appear several times in one batch: sort and dedup.
         # The frame allocator is LIFO, so an ascending VPN batch usually
         # maps to a strictly descending GPFN run; a strict run either way
@@ -109,13 +119,12 @@ class Ept:
         pool.  Unmapped entries lose all flags — a later re-map starts
         with clean A/D bits, so the first post-deflate write is a fresh
         0->1 dirty transition and PML logs it again."""
-        g = self._check(gpfns)
-        h = self.hpfn[g]
-        if np.any(h < 0):
+        _, gi = self._index(gpfns)
+        out = gather(self.hpfn, gi)
+        if np.any(out < 0):
             raise InvalidAddressError("EPT unmap of an unmapped GPFN")
-        out = h.copy()
-        self.hpfn[g] = -1
-        self.flags[g] = 0
+        self.hpfn[gi] = -1
+        self.flags[gi] = 0
         self.generation += 1
         return out
 
@@ -133,9 +142,9 @@ class Ept:
             n = int(acc.sum())
             self.flags &= ~EPT_ACCESSED
             return n
-        g = self._check(gpfns)
-        n = int(((self.flags[g] & EPT_ACCESSED) != 0).sum())
-        self.flags[g] &= ~EPT_ACCESSED
+        _, gi = self._index(gpfns)
+        n = int(((self.flags[gi] & EPT_ACCESSED) != 0).sum())
+        self.flags[gi] &= ~EPT_ACCESSED
         return n
 
     def clear_dirty(self, gpfns: np.ndarray | list[int] | None = None) -> int:
@@ -146,9 +155,9 @@ class Ept:
             n = int(dirty.sum())
             self.flags &= ~EPT_DIRTY
             return n
-        g = self._check(gpfns)
-        n = int(((self.flags[g] & EPT_DIRTY) != 0).sum())
-        self.flags[g] &= ~EPT_DIRTY
+        _, gi = self._index(gpfns)
+        n = int(((self.flags[gi] & EPT_DIRTY) != 0).sum())
+        self.flags[gi] &= ~EPT_DIRTY
         return n
 
     def dirty_gpfns(self) -> np.ndarray:
@@ -156,5 +165,5 @@ class Ept:
 
     def accessed_mask(self, gpfns: np.ndarray | list[int]) -> np.ndarray:
         """A-bit state per given GPFN (reclaim cold/hot classification)."""
-        g = self._check(gpfns)
-        return (self.flags[g] & EPT_ACCESSED) != 0
+        _, gi = self._index(gpfns)
+        return (self.flags[gi] & EPT_ACCESSED) != 0

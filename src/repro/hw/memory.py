@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.arrays import as_index, checked_index, gather
 from repro.errors import (
     ConfigurationError,
     InvalidAddressError,
@@ -74,18 +75,19 @@ class FrameAllocator:
             )
         frames = self._free[self._top - count:self._top].copy()
         self._top -= count
-        self._allocated[frames] = True
+        self._allocated[as_index(frames, self.n_frames)] = True
         return frames
 
     def free(self, frames: np.ndarray | list[int]) -> None:
         arr = np.asarray(frames, dtype=np.int64).ravel()
         if arr.size == 0:
             return
-        if np.any(arr < 0) or np.any(arr >= self.n_frames):
+        idx = checked_index(arr, self.n_frames)
+        if idx is None:
             raise InvalidAddressError("frame number out of range")
-        if not np.all(self._allocated[arr]):
+        if not np.all(self._allocated[idx]):
             raise InvalidAddressError("double free of physical frame")
-        self._allocated[arr] = False
+        self._allocated[idx] = False
         self._free[self._top:self._top + arr.size] = arr
         self._top += arr.size
 
@@ -111,7 +113,8 @@ class PhysicalMemory:
 
     def alloc(self, count: int) -> np.ndarray:
         frames = self.allocator.alloc(count)
-        self._content[frames] = 0  # fresh frames are zeroed
+        # Fresh frames are zeroed.
+        self._content[as_index(frames, self.n_frames)] = 0
         return frames
 
     def free(self, frames: np.ndarray | list[int]) -> None:
@@ -177,8 +180,10 @@ class PhysicalMemory:
     def read(self, frames: np.ndarray | list[int]) -> np.ndarray:
         """Return content tokens of the given frames."""
         arr = np.asarray(frames, dtype=np.int64).ravel()
-        self._check(arr)
-        return self._content[arr].copy()
+        idx = checked_index(arr, self.n_frames)
+        if idx is None:
+            raise InvalidAddressError("physical frame out of range")
+        return gather(self._content, idx)
 
     def store(self, frames: np.ndarray | list[int], tokens: np.ndarray) -> None:
         """Overwrite frame contents with explicit tokens (restore path)."""

@@ -21,7 +21,16 @@ Two walk implementations produce bit-identical outcomes:
   checks once per batch whether the VPNs are strictly ascending (array
   sweeps and pre-faults always are); such a batch is already its own
   sorted-unique set, so the walk skips every dedup and inverse pass and
-  works on the batch directly.  It is fronted by a
+  works on the batch directly.  An ascending batch whose ends are
+  ``size - 1`` apart is a contiguous run, and the walk reads and writes
+  the page table through the equivalent slice; the page-table, EPT, TLB
+  and frame-allocator methods it calls detect runs of their own index
+  arrays the same way (:func:`repro.arrays.as_index`: the LIFO frame
+  allocator turns an ascending VPN run into a descending GPFN run, which
+  the VM's EPT maps to an ascending HPFN run), and an all-write batch
+  whose HPFNs are a +1 run writes its content tokens with one slice
+  write.  A slice costs 1-5 us where a fancy index of a 16K-page batch
+  costs 20-30 us.  It is fronted by a
   **TLB fast path**: a sorted-unique batch whose pages are all TLB-cached,
   present, writable, and already PTE+EPT dirty cannot fault and cannot
   produce a 0->1 dirty transition (so nothing can be logged), exactly as
@@ -46,6 +55,12 @@ and every path that clears one (tracker re-arm via ``clear_flags``, PML
 harvest via ``Ept.clear_dirty``) bumps the matching generation, which
 invalidates the entry and forces the next access back through the walk.
 
+The TLB fast path and replay keep their fancy indexes on purpose: with
+the fast path run-indexed as well, ``bench_simperf``'s steady-state
+replay gate read 3.5-3.6x instead of about 5.4x against its >= 5x, and
+the walk cache exists only as long as replay pays for itself (see
+ROADMAP.md).
+
 :meth:`Mmu.access_segment` extends the same memoization to whole
 *compiled plan segments* (:mod:`repro.guest.plan`): a run of batches
 that previously all hit the fast path replays as one concatenated
@@ -61,7 +76,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.arrays import unique_sorted
+from repro.arrays import as_index, gather, unique_sorted
 from repro.errors import InvalidAddressError, ProtectionFault
 from repro.hw.ept import EPT_ACCESSED, EPT_DIRTY, Ept
 from repro.hw.memory import PhysicalMemory
@@ -99,8 +114,9 @@ _WALK_CACHE_CAP = 256
 _PLAN_CACHE_CAP = 64
 
 
-def _as_run(h: np.ndarray) -> tuple[int, int] | None:
-    """``(first, size)`` when ``h`` is a strict +1 ascending run.
+def _as_run(h: np.ndarray, n_frames: int) -> tuple[int, int] | None:
+    """``(first, size)`` when ``h`` is a strict +1 ascending run of host
+    frames (:func:`repro.arrays.as_index`).
 
     Written HPFNs usually are one (frames are handed out in allocation
     order), and proving it once at memoization time lets every replay
@@ -108,11 +124,10 @@ def _as_run(h: np.ndarray) -> tuple[int, int] | None:
     Duplicate frames (last-wins rewrites) never pass the check, so the
     run write is always token-identical to the fancy write.
     """
-    if h.size == 0:
-        return None
-    if h.size > 1 and not bool((h[1:] - h[:-1] == 1).all()):
-        return None
-    return (int(h[0]), int(h.size))
+    idx = as_index(h, n_frames)
+    if isinstance(idx, slice) and idx.step is None:
+        return (idx.start, int(h.size))
+    return None
 
 
 class FaultHandlers(Protocol):
@@ -310,7 +325,7 @@ class Mmu:
                     v.copy(),
                     None if w is None else w.copy(),
                     h,
-                    _as_run(h),
+                    _as_run(h, self.host_mem.n_frames),
                 )
             return res
         return self._access_fused(pt, tlb, v, w_full, asc, handlers, res, pml)
@@ -383,9 +398,17 @@ class Mmu:
         # unique set every dedup below would compute (with identity
         # inverse), so each one reduces to a plain mask or nothing.
         lo, hi = (v[0], v[-1]) if asc else (v.min(), v.max())
-        if int(lo) < 0 or int(hi) >= pt.n_pages:
+        lo, hi = int(lo), int(hi)
+        if lo < 0 or hi >= pt.n_pages:
             raise InvalidAddressError("VPN out of address space")
-        flags = pt.flags[v]
+        # An ascending batch whose ends are size - 1 apart is a +1 run:
+        # the page table is read and written through the equivalent
+        # slice.  An all-write batch selects its written pages with a
+        # whole-array view instead of a boolean mask.
+        vi = slice(lo, hi + 1) if asc and hi - lo == v.size - 1 else v
+        all_w = res.n_writes == v.size
+        ws = slice(None) if all_w else w
+        flags = gather(pt.flags, vi)
 
         # -- 1. missing pages -------------------------------------------
         present = (flags & PTE_PRESENT) != 0
@@ -403,29 +426,29 @@ class Mmu:
             if still.any():
                 handlers.handle_minor_fault(missing[still], missing_w[still])
                 res.n_minor_faults += int(still.sum())
-            flags = pt.flags[v]
+            flags = gather(pt.flags, vi)
             if not ((flags & PTE_PRESENT) != 0).all():
                 raise ProtectionFault("fault handler left pages unmapped")
 
         # -- 2. write-protection faults ----------------------------------
-        any_w = bool(w.any())
+        any_w = res.n_writes > 0
         if any_w:
-            writable = (flags[w] & PTE_WRITABLE) != 0
+            writable = (flags[ws] & PTE_WRITABLE) != 0
             if not writable.all():
-                faulting = v[w][~writable]
+                faulting = v[ws][~writable]
                 if not asc:
                     faulting = unique_sorted(faulting)
                 ufd_mask = (pt.flags[faulting] & PTE_UFD_WP) != 0
                 res.n_ufd_faults += int(ufd_mask.sum())
                 res.n_wp_faults += int((~ufd_mask).sum())
                 handlers.handle_wp_fault(faulting, ufd_mask)
-                flags = pt.flags[v]
-                if not ((flags[w] & PTE_WRITABLE) != 0).all():
+                flags = gather(pt.flags, vi)
+                if not ((flags[ws] & PTE_WRITABLE) != 0).all():
                     raise ProtectionFault("WP fault handler left pages read-only")
 
         # -- 3+4. one dedup pass feeds PTE bits, EPT bits, content writes
         if asc:
-            uniq_v, uniq_w, fu = v, w, flags
+            uniq_v, uniq_w, fu, ui = v, w, flags, vi
         else:
             uniq_v, first_idx, inv = np.unique(
                 v, return_index=True, return_inverse=True
@@ -433,19 +456,24 @@ class Mmu:
             uniq_w = np.zeros(uniq_v.shape, dtype=bool)
             uniq_w[inv[w]] = True
             fu = flags[first_idx]
+            ui = uniq_v
         newf = fu | PTE_ACCESSED
         if any_w:
-            was_clean = uniq_w & ((fu & PTE_DIRTY) == 0)
+            was_clean = (fu & PTE_DIRTY) == 0
+            if all_w:
+                newf |= PTE_DIRTY
+            else:
+                was_clean &= uniq_w
+                newf = np.where(uniq_w, newf | PTE_DIRTY, newf)
             res.newly_pte_dirty = uniq_v[was_clean]
-            newf = np.where(uniq_w, newf | PTE_DIRTY, newf)
-            pt.flags[uniq_v] = newf
+            pt.flags[ui] = newf
             pt.generation += 1  # direct flag write bypasses set_flags
             # EPML guest-level logging: GVAs whose PTE dirty bit was set.
             pml.log_gvas(res.newly_pte_dirty)
         else:
-            pt.flags[uniq_v] = newf
+            pt.flags[ui] = newf
             pt.generation += 1  # direct flag write bypasses set_flags
-        gpfns = pt.gpfn[uniq_v]
+        gpfns = gather(pt.gpfn, ui)
         if (gpfns < 0).any():
             raise InvalidAddressError("translate of unmapped VPN")
         res.newly_ept_dirty = self.ept.touch(gpfns, uniq_w)
@@ -453,9 +481,13 @@ class Mmu:
         pml.log_gpas(res.newly_ept_dirty)
 
         # -- 5. content mutation + TLB -----------------------------------
-        if uniq_w.any():
-            hpfns = self.ept.translate(gpfns[uniq_w])
-            self.host_mem.write(hpfns)
+        if any_w:
+            hpfns = self.ept.translate(gpfns if all_w else gpfns[uniq_w])
+            run = _as_run(hpfns, self.host_mem.n_frames)
+            if run is not None:
+                self.host_mem.write_trusted_run(*run)
+            else:
+                self.host_mem.write(hpfns)
         tlb.fill(uniq_v)
         return res
 
@@ -605,7 +637,7 @@ class Mmu:
                 h_all,
                 n_pages,
                 stats,
-                _as_run(h_all),
+                _as_run(h_all, self.host_mem.n_frames),
             )
         return results
 

@@ -22,6 +22,7 @@ import itertools
 
 import numpy as np
 
+from repro.arrays import checked_index, gather
 from repro.errors import ConfigurationError, InvalidAddressError
 
 __all__ = [
@@ -77,11 +78,17 @@ class PageTable:
         self._rev_index: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
-    def _check_vpns(self, vpns: np.ndarray) -> np.ndarray:
+    def _index(
+        self, vpns: np.ndarray | list[int]
+    ) -> tuple[np.ndarray, np.ndarray | slice]:
+        """Bounds-checked VPN array plus the index to apply it with: a
+        slice when the VPNs are a contiguous run, else the array itself
+        (:func:`repro.arrays.checked_index`)."""
         arr = np.asarray(vpns, dtype=np.int64).ravel()
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n_pages):
+        idx = checked_index(arr, self.n_pages)
+        if idx is None:
             raise InvalidAddressError("VPN out of address space")
-        return arr
+        return arr, idx
 
     def map(
         self,
@@ -95,49 +102,49 @@ class PageTable:
         New anonymous mappings are born soft-dirty (Linux semantics: a
         fresh page counts as modified until the next ``clear_refs``).
         """
-        v = self._check_vpns(vpns)
+        v, vi = self._index(vpns)
         g = np.asarray(gpfns, dtype=np.int64).ravel()
         if v.size != g.size:
             raise ValueError("vpns and gpfns length mismatch")
-        self.gpfn[v] = g
+        self.gpfn[vi] = g
         f = PTE_PRESENT
         if writable:
             f |= PTE_WRITABLE
         if soft_dirty:
             f |= PTE_SOFT_DIRTY
-        self.flags[v] = f
+        self.flags[vi] = f
         self.generation += 1
         self._rev_index = None
 
     def unmap(self, vpns: np.ndarray | list[int]) -> np.ndarray:
         """Remove mappings; returns the GPFNs that were mapped."""
-        v = self._check_vpns(vpns)
-        gpfns = self.gpfn[v].copy()
-        self.gpfn[v] = -1
-        self.flags[v] = 0
+        _, vi = self._index(vpns)
+        gpfns = gather(self.gpfn, vi)
+        self.gpfn[vi] = -1
+        self.flags[vi] = 0
         self.generation += 1
         self._rev_index = None
         return gpfns[gpfns >= 0]
 
     # ------------------------------------------------------------------
     def present_mask(self, vpns: np.ndarray | list[int]) -> np.ndarray:
-        v = self._check_vpns(vpns)
-        return (self.flags[v] & PTE_PRESENT) != 0
+        _, vi = self._index(vpns)
+        return (self.flags[vi] & PTE_PRESENT) != 0
 
     def flag_mask(self, vpns: np.ndarray | list[int], flag: np.uint16) -> np.ndarray:
-        v = self._check_vpns(vpns)
-        return (self.flags[v] & flag) != 0
+        _, vi = self._index(vpns)
+        return (self.flags[vi] & flag) != 0
 
     def set_flags(self, vpns: np.ndarray | list[int], flag: np.uint16) -> None:
-        v = self._check_vpns(vpns)
-        self.flags[v] |= flag
+        _, vi = self._index(vpns)
+        self.flags[vi] |= flag
         self.generation += 1
         if flag & PTE_PRESENT:
             self._rev_index = None
 
     def clear_flags(self, vpns: np.ndarray | list[int], flag: np.uint16) -> None:
-        v = self._check_vpns(vpns)
-        self.flags[v] &= ~flag
+        _, vi = self._index(vpns)
+        self.flags[vi] &= ~flag
         self.generation += 1
         if flag & PTE_PRESENT:
             self._rev_index = None
@@ -152,11 +159,11 @@ class PageTable:
 
     def translate(self, vpns: np.ndarray | list[int]) -> np.ndarray:
         """GPFNs for present VPNs; raises on unmapped entries."""
-        v = self._check_vpns(vpns)
-        g = self.gpfn[v]
+        _, vi = self._index(vpns)
+        g = gather(self.gpfn, vi)
         if np.any(g < 0):
             raise InvalidAddressError("translate of unmapped VPN")
-        return g.copy()
+        return g
 
     def _reverse_index(self) -> tuple[np.ndarray, np.ndarray]:
         """(sorted GPFNs, matching VPNs) for all present mappings.

@@ -21,6 +21,7 @@ import itertools
 
 import numpy as np
 
+from repro.arrays import as_index, gather
 from repro.obs import trace as otr
 from repro.obs.events import EventKind
 
@@ -53,14 +54,20 @@ class Tlb:
         #: invalidation, which is exactly what the MMU walk cache checks.
         self.generation = 0
 
-    def fill(self, vpns: np.ndarray) -> None:
+    def _index(self, vpns: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+        """VPN array plus the index to apply it with: a slice for a
+        contiguous in-range run (:func:`repro.arrays.as_index`), else the
+        array, which raises on out-of-range VPNs as before."""
         v = np.asarray(vpns, dtype=np.int64).ravel()
-        self._cached[v] = True
+        return v, as_index(v, self._cached.size)
+
+    def fill(self, vpns: np.ndarray) -> None:
+        v, vi = self._index(vpns)
+        self._cached[vi] = True
         self.n_fills += int(v.size)
 
     def cached_mask(self, vpns: np.ndarray) -> np.ndarray:
-        v = np.asarray(vpns, dtype=np.int64).ravel()
-        return self._cached[v].copy()
+        return gather(self._cached, self._index(vpns)[1])
 
     def cached_all(self, vpns: np.ndarray) -> bool:
         """True when every VPN has a cached translation.
@@ -73,8 +80,7 @@ class Tlb:
     def cached_any(self, vpns: np.ndarray) -> bool:
         """True when at least one VPN has a cached translation (shootdown
         filter: a remote vCPU caching nothing needs no IPI)."""
-        v = np.asarray(vpns, dtype=np.int64).ravel()
-        return bool(self._cached[v].any())
+        return bool(self._cached[self._index(vpns)[1]].any())
 
     def note_refill(self, n: int) -> None:
         """Account a fill of ``n`` already-cached VPNs without the scatter.
@@ -88,8 +94,8 @@ class Tlb:
         self.n_fills += int(n)
 
     def invalidate(self, vpns: np.ndarray) -> None:
-        v = np.asarray(vpns, dtype=np.int64).ravel()
-        self._cached[v] = False
+        v, vi = self._index(vpns)
+        self._cached[vi] = False
         self.n_invalidations += int(v.size)
         self.generation += 1
 

@@ -1,16 +1,20 @@
-"""Tests for the sort-based set primitives in ``repro.arrays``, plus a
-guard that keeps numpy's slow set paths out of ``src/repro``."""
+"""Tests for the sort-based set primitives and the run detector in
+``repro.arrays``, plus a guard that keeps numpy's slow set paths out of
+``src/repro``."""
 
 import ast
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.arrays import add_counts, unique_sorted
+from repro import arrays
+from repro.arrays import add_counts, as_index, checked_index, gather, unique_sorted
 
 _INT_DTYPES = [np.int64, np.uint64, np.int32]
 
@@ -73,6 +77,139 @@ def test_add_counts_matches_add_at(n, data, delta):
     assert np.array_equal(got, want)
     assert uniq.dtype == idx.dtype
     assert np.array_equal(uniq, np.unique(idx))
+
+
+# ----------------------------------------------------------------------
+# as_index: a run becomes a slice, anything else stays a fancy index
+# ----------------------------------------------------------------------
+@contextmanager
+def min_run(n: int):
+    """Let :func:`as_index` slice runs from length ``n`` on, so short
+    arrays reach the run branches (``sys.maxsize``: never slice)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrays, "MIN_RUN", n)
+        yield
+
+
+def _check_equivalent(a: np.ndarray, n: int) -> np.ndarray | slice:
+    """``x[as_index(a, n)]`` reads and writes exactly what ``x[a]`` does
+    on an array of length ``n``, raising where it raises."""
+    idx = as_index(a, n)
+    x = np.arange(100, 100 + n, dtype=np.int64)
+    try:
+        want = x[a]
+    except IndexError:
+        with pytest.raises(IndexError):
+            x[idx]
+        return idx
+    assert np.array_equal(x[idx], want)
+    assert np.array_equal(gather(x, idx), want)
+    vals = np.arange(-1, -1 - a.size, -1, dtype=np.int64)
+    got_x, want_x = x.copy(), x.copy()
+    got_x[idx] = vals
+    want_x[a] = vals
+    assert np.array_equal(got_x, want_x)
+    return idx
+
+
+def _run(first: int, size: int, step: int) -> np.ndarray:
+    return np.arange(first, first + step * size, step, dtype=np.int64)
+
+
+_RUN_MIN = [1, 2, 4]  # MIN_RUN values that let short arrays reach the runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    size=st.integers(0, 80),
+    first=st.integers(-70, 140),
+    step=st.sampled_from([1, -1]),
+    mr=st.sampled_from(_RUN_MIN),
+)
+@example(n=8, size=5, first=4, step=-1, mr=1)  # -1 run ending at index 0
+@example(n=8, size=8, first=7, step=-1, mr=4)  # the whole axis, reversed
+@example(n=8, size=3, first=5, step=1, mr=1)  # +1 run ending at n - 1
+@example(n=8, size=2, first=0, step=-1, mr=1)  # starts in range, leaves it
+def test_as_index_runs(n, size, first, step, mr):
+    """+1 and -1 runs, in range or not: lengths 0, 1 and 2 included, and
+    -1 runs ending at index 0 (``first == size - 1``)."""
+    a = _run(first, size, step)
+    with min_run(mr):
+        idx = _check_equivalent(a, n)
+    in_range = size and min(a[0], a[-1]) >= 0 and max(a[0], a[-1]) < n
+    assert isinstance(idx, slice) == bool(size >= mr and in_range)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=hnp.arrays(
+        np.int64,
+        st.integers(0, 40),
+        elements=st.integers(-50, 50),
+    ),
+    n=st.integers(1, 50),
+    mr=st.sampled_from(_RUN_MIN),
+)
+def test_as_index_random_arrays(a, n, mr):
+    """Random int64 arrays: duplicates, negatives, out-of-range values;
+    ``checked_index`` refuses exactly the arrays with an index outside
+    ``[0, n)``."""
+    with min_run(mr):
+        idx = _check_equivalent(a, n)
+        checked = checked_index(a, n)
+    if isinstance(idx, slice):
+        step = 1 if a.size == 1 else int(a[1] - a[0])
+        assert np.array_equal(a, _run(int(a[0]), a.size, step))
+    outside = bool(a.size) and (a.min() < 0 or a.max() >= n)
+    assert (checked is None) == outside
+    if not outside:
+        assert checked is idx or checked == idx
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(3, 60),
+    data=st.data(),
+    step=st.sampled_from([1, -1]),
+    kind=st.sampled_from(["gap", "duplicate", "swap"]),
+)
+def test_as_index_near_runs_stay_fancy(size, data, step, kind):
+    """A run with one gap (endpoints one too far apart), one duplicate
+    or two swapped neighbours (endpoints exactly right) is not a run."""
+    first = size + 2 if step < 0 else 0
+    a = _run(first, size, step)
+    i = data.draw(st.integers(1, size - 2))
+    if kind == "gap":
+        a[i:] += step
+    elif kind == "duplicate":
+        a[i] = a[i - 1]
+    else:
+        a[i], a[i + 1] = a[i + 1], a[i]
+    with min_run(1):
+        idx = _check_equivalent(a, 2 * size + 4)
+    assert idx is a
+
+
+def test_as_index_default_min_run():
+    """Production threshold: shorter runs stay fancy, longer ones slice,
+    including a -1 run ending at index 0."""
+    k = arrays.MIN_RUN
+    assert _check_equivalent(_run(5, k - 1, 1), 2 * k) is not None
+    assert not isinstance(as_index(_run(5, k - 1, 1), 2 * k), slice)
+    assert _check_equivalent(_run(5, k, 1), 2 * k) == slice(5, 5 + k)
+    assert _check_equivalent(_run(k - 1, k, -1), k) == slice(k - 1, None, -1)
+    assert _check_equivalent(_run(k, k, -1), k + 1) == slice(k, 0, -1)
+    with min_run(sys.maxsize):
+        assert not isinstance(as_index(_run(0, k, 1), k), slice)
+
+
+def test_gather_never_returns_a_view():
+    x = np.arange(4096, dtype=np.int64)
+    for idx in (slice(10, 2000), slice(2000, None, -1), np.array([3, 1, 2])):
+        out = gather(x, idx)
+        assert np.array_equal(out, x[idx])
+        assert not np.shares_memory(out, x)
 
 
 # ----------------------------------------------------------------------
